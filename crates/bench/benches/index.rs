@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks of the semantic index: insert throughput,
-//! clustered range scans, and label skip-scans, for both the in-memory and
-//! persistent (paged B+tree) backends.
+//! clustered range scans, and label skip-scans, for the in-memory index,
+//! with the insert path also measured on the persistent tiered index.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use tasm_index::{MemoryIndex, PersistentIndex, SemanticIndex};
+use tasm_index::{MemoryIndex, SemanticIndex, TieredIndex};
 use tasm_video::Rect;
 
 fn populate(idx: &mut dyn SemanticIndex, frames: u32, boxes_per_frame: u32) {
@@ -27,12 +27,12 @@ fn insert_benches(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    g.bench_function("persistent_12k_detections", |b| {
+    g.bench_function("tiered_12k_detections", |b| {
         let dir = std::env::temp_dir().join(format!("tasm-bench-idx-{}", std::process::id()));
         b.iter_batched(
             || {
                 std::fs::remove_dir_all(&dir).ok();
-                PersistentIndex::open(&dir).unwrap()
+                TieredIndex::open(&dir).unwrap()
             },
             |mut idx| {
                 populate(&mut idx, 3000, 4);

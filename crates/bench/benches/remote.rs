@@ -1,7 +1,6 @@
 //! Criterion benchmarks of the networked serving layer: loopback loadgen
-//! throughput at connection-pool sizes 1 / 4 / 16 on both serving engines
-//! (the nonblocking reactor and the thread-per-connection baseline), with
-//! the submit→complete latency percentiles, next to an in-process
+//! throughput at connection-pool sizes 1 / 4 / 16 on the reactor server,
+//! with the submit→complete latency percentiles, next to an in-process
 //! `QueryService` run of the same workload so the wire + session overhead
 //! is directly visible. The large-fan-in sweep (16/256/1k connections,
 //! 10k behind `TASM_REACTOR_BENCH_10K=1`) lives in the `reactor_bench`
@@ -21,7 +20,7 @@ use tasm_client::{LoadGen, LoadGenConfig, LoadReport};
 use tasm_core::{Granularity, LabelPredicate, Query, StorageConfig, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
-use tasm_server::{ServeEngine, ServerConfig, TasmServer};
+use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, QueryService, ServiceConfig, ServiceStats, Shutdown};
 use tasm_video::FrameSource;
 
@@ -80,7 +79,7 @@ fn warm_tasm(dir: &PathBuf, video: &SyntheticVideo) -> Arc<Tasm> {
     Arc::new(tasm)
 }
 
-fn start_server(tasm: Arc<Tasm>, workers: usize, engine: ServeEngine) -> TasmServer {
+fn start_server(tasm: Arc<Tasm>, workers: usize) -> TasmServer {
     TasmServer::bind(
         tasm,
         ServiceConfig {
@@ -89,7 +88,6 @@ fn start_server(tasm: Arc<Tasm>, workers: usize, engine: ServeEngine) -> TasmSer
             ..Default::default()
         },
         ServerConfig {
-            engine,
             max_connections: 64,
             max_inflight: 8,
             ..Default::default()
@@ -97,13 +95,6 @@ fn start_server(tasm: Arc<Tasm>, workers: usize, engine: ServeEngine) -> TasmSer
         "127.0.0.1:0",
     )
     .expect("bind loopback server")
-}
-
-fn engine_tag(engine: ServeEngine) -> &'static str {
-    match engine {
-        ServeEngine::Reactor => "reactor",
-        ServeEngine::Threads => "threads",
-    }
 }
 
 fn loadgen(requests: u64, connections: usize) -> LoadGen {
@@ -161,18 +152,16 @@ fn remote_benches(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("remote");
     g.sample_size(10);
-    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
-        for connections in [1usize, 4, 16] {
-            // One warm server per pool size; the timed quantity is a whole
-            // loadgen run against it (connect, query stream, goodbye).
-            let server = start_server(warm_tasm(&dir, &video), connections, engine);
-            let addr = server.local_addr();
-            let gen = loadgen(requests, connections);
-            g.bench_function(format!("loadgen_{}_c{connections}", engine_tag(engine)), |b| {
-                b.iter(|| gen.run(addr).expect("loadgen run"))
-            });
-            server.shutdown();
-        }
+    for connections in [1usize, 4, 16] {
+        // One warm server per pool size; the timed quantity is a whole
+        // loadgen run against it (connect, query stream, goodbye).
+        let server = start_server(warm_tasm(&dir, &video), connections);
+        let addr = server.local_addr();
+        let gen = loadgen(requests, connections);
+        g.bench_function(format!("loadgen_reactor_c{connections}"), |b| {
+            b.iter(|| gen.run(addr).expect("loadgen run"))
+        });
+        server.shutdown();
     }
     g.finish();
 
@@ -180,33 +169,31 @@ fn remote_benches(c: &mut Criterion) {
     // verification pass per configuration.
     eprintln!("\nremote serving summary ({requests} sliding-window queries):");
     eprintln!("  config               queries/s   p50 ms   p95 ms   p99 ms   busy");
-    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
-        for connections in [1usize, 4, 16] {
-            let server = start_server(warm_tasm(&dir, &video), connections, engine);
-            let addr = server.local_addr();
-            // Warm pass, then the measured pass.
-            loadgen(requests, connections).run(addr).expect("warm pass");
-            let report: LoadReport = loadgen(requests, connections)
-                .run(addr)
-                .expect("measured pass");
-            let stats = server.shutdown().service.stats;
-            let tag = format!("{}_c{connections}", engine_tag(engine));
-            eprintln!(
-                "  remote_{tag:<12} {:>8.1}   {:>6} {:>8} {:>8}   {:>4}",
-                report.throughput(),
-                fmt_ms(report.latency.p50()),
-                fmt_ms(report.latency.p95()),
-                fmt_ms(report.latency.p99()),
-                report.busy,
-            );
-            eprintln!(
-                "   └ server            {:>8}   {:>6} {:>8} {:>8}      -",
-                "-",
-                fmt_ms(stats.latency.p50()),
-                fmt_ms(stats.latency.p95()),
-                fmt_ms(stats.latency.p99()),
-            );
-        }
+    for connections in [1usize, 4, 16] {
+        let server = start_server(warm_tasm(&dir, &video), connections);
+        let addr = server.local_addr();
+        // Warm pass, then the measured pass.
+        loadgen(requests, connections).run(addr).expect("warm pass");
+        let report: LoadReport = loadgen(requests, connections)
+            .run(addr)
+            .expect("measured pass");
+        let stats = server.shutdown().service.stats;
+        let tag = format!("reactor_c{connections}");
+        eprintln!(
+            "  remote_{tag:<12} {:>8.1}   {:>6} {:>8} {:>8}   {:>4}",
+            report.throughput(),
+            fmt_ms(report.latency.p50()),
+            fmt_ms(report.latency.p95()),
+            fmt_ms(report.latency.p99()),
+            report.busy,
+        );
+        eprintln!(
+            "   └ server            {:>8}   {:>6} {:>8} {:>8}      -",
+            "-",
+            fmt_ms(stats.latency.p50()),
+            fmt_ms(stats.latency.p95()),
+            fmt_ms(stats.latency.p99()),
+        );
     }
     for workers in [1usize, 4, 16] {
         let tasm = warm_tasm(&dir, &video);

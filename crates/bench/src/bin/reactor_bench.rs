@@ -1,5 +1,5 @@
 //! Reactor serving-layer benchmark: connection-count sweep of the
-//! nonblocking reactor engine against the thread-per-connection baseline.
+//! nonblocking reactor server.
 //!
 //! The claim under test is the reactor rearchitecture's headline property:
 //! one process serves 16 → 1k concurrent sessions (10k behind
@@ -24,7 +24,7 @@ use tasm_core::{
 };
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
-use tasm_server::{ServeEngine, ServerConfig, TasmServer};
+use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::ServiceConfig;
 use tasm_video::FrameSource;
 
@@ -93,7 +93,6 @@ fn proc_status(field: &str) -> u64 {
 
 #[derive(Serialize)]
 struct SweepPoint {
-    engine: &'static str,
     connections: usize,
     requests: u64,
     completed: u64,
@@ -120,11 +119,7 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn run_point(tasm: &Arc<Tasm>, engine: ServeEngine, connections: usize) -> SweepPoint {
-    let name = match engine {
-        ServeEngine::Reactor => "reactor",
-        ServeEngine::Threads => "threads",
-    };
+fn run_point(tasm: &Arc<Tasm>, connections: usize) -> SweepPoint {
     let server = TasmServer::bind(
         Arc::clone(tasm),
         ServiceConfig {
@@ -133,7 +128,6 @@ fn run_point(tasm: &Arc<Tasm>, engine: ServeEngine, connections: usize) -> Sweep
             ..Default::default()
         },
         ServerConfig {
-            engine,
             max_connections: connections + 16,
             max_inflight: 8,
             ..Default::default()
@@ -189,7 +183,6 @@ fn run_point(tasm: &Arc<Tasm>, engine: ServeEngine, connections: usize) -> Sweep
     server.shutdown();
 
     let point = SweepPoint {
-        engine: name,
         connections,
         requests,
         completed: report.completed,
@@ -206,9 +199,8 @@ fn run_point(tasm: &Arc<Tasm>, engine: ServeEngine, connections: usize) -> Sweep
         parked_p99_ms: ms(parked.latency.p99()),
     };
     println!(
-        "{:<8} c={:<6} {:>8.1} req/s  fan-in p99 {:>7.2} ms  parked p99 {:>7.2} ms  \
+        "c={:<6} {:>8.1} req/s  fan-in p99 {:>7.2} ms  parked p99 {:>7.2} ms  \
          +{} threads @ idle conns  rss {} kB",
-        point.engine,
         point.connections,
         point.throughput_rps,
         point.p99_ms,
@@ -222,7 +214,7 @@ fn run_point(tasm: &Arc<Tasm>, engine: ServeEngine, connections: usize) -> Sweep
 /// Bit-exactness spot check at full fan-in: the same pixel queries through
 /// a remote session and through in-process `Tasm::query` on a twin store
 /// must agree byte-for-byte.
-fn verify_bit_exact(tasm: &Arc<Tasm>, twin: &Tasm, engine: ServeEngine) {
+fn verify_bit_exact(tasm: &Arc<Tasm>, twin: &Tasm) {
     let server = TasmServer::bind(
         Arc::clone(tasm),
         ServiceConfig {
@@ -230,10 +222,7 @@ fn verify_bit_exact(tasm: &Arc<Tasm>, twin: &Tasm, engine: ServeEngine) {
             queue_depth: 64,
             ..Default::default()
         },
-        ServerConfig {
-            engine,
-            ..Default::default()
-        },
+        ServerConfig::default(),
         "127.0.0.1:0",
     )
     .expect("bind verify server");
@@ -263,10 +252,10 @@ struct Report {
     workers: usize,
     sweep: Vec<SweepPoint>,
     bit_exact_verified: bool,
-    /// Reactor parked p99 at the largest sweep point over p99 at 16
-    /// connections — the acceptance gate tracks this staying within 2x:
-    /// holding the maximum connection count open must not degrade the
-    /// latency of sessions actually doing work.
+    /// Parked p99 at the largest sweep point over p99 at 16 connections —
+    /// the acceptance gate tracks this staying within 2x: holding the
+    /// maximum connection count open must not degrade the latency of
+    /// sessions actually doing work.
     reactor_p99_ratio_max_over_16: f64,
 }
 
@@ -282,30 +271,23 @@ fn main() {
         sweep.push(10_000);
     }
 
-    let mut points = Vec::new();
-    for &engine in &[ServeEngine::Reactor, ServeEngine::Threads] {
-        for &connections in &sweep {
-            points.push(run_point(&tasm, engine, connections));
-        }
-    }
+    let points: Vec<SweepPoint> = sweep.iter().map(|&c| run_point(&tasm, c)).collect();
 
-    verify_bit_exact(&tasm, &twin, ServeEngine::Reactor);
-    verify_bit_exact(&tasm, &twin, ServeEngine::Threads);
-    println!("bit-exactness verified on both engines");
+    verify_bit_exact(&tasm, &twin);
+    println!("bit-exactness verified");
 
-    let reactor: Vec<&SweepPoint> = points.iter().filter(|p| p.engine == "reactor").collect();
-    let p99_16 = reactor
+    let p99_16 = points
         .iter()
         .find(|p| p.connections == 16)
         .map(|p| p.parked_p99_ms)
         .unwrap_or(0.0);
-    let p99_max = reactor
+    let p99_max = points
         .iter()
         .max_by_key(|p| p.connections)
         .map(|p| p.parked_p99_ms)
         .unwrap_or(0.0);
     let ratio = if p99_16 > 0.0 { p99_max / p99_16 } else { 0.0 };
-    println!("reactor parked p99 at max connections / p99 at 16: {ratio:.2}x");
+    println!("parked p99 at max connections / p99 at 16: {ratio:.2}x");
 
     write_result(
         "BENCH_reactor",

@@ -307,14 +307,19 @@ fn scan(args: &Args) -> CmdResult {
 
     let repeat: u32 = args.get_or("repeat", 1)?;
     for run in 0..repeat.max(1) {
+        // Wall time of the whole call: lookup + exec is only part of it
+        // (region reassembly is not in `seconds()`), so both are printed.
+        let t0 = std::time::Instant::now();
         let result = tasm.scan(name, &LabelPredicate::label(label), start..end)?;
+        let wall = t0.elapsed();
         println!(
-            "scan '{label}' over frames {start}..{end}: {} regions, {} samples decoded, {} tile-chunks, {} cache hits ({} samples reused), {:.2} ms",
+            "scan '{label}' over frames {start}..{end}: {} regions, {} samples decoded, {} tile-chunks, {} cache hits ({} samples reused), {:.2} ms ({:.2} ms lookup+exec)",
             result.regions.len(),
             result.stats.samples_decoded,
             result.stats.tile_chunks_decoded,
             result.cache.hits,
             result.cache.samples_reused,
+            wall.as_secs_f64() * 1e3,
             result.seconds() * 1e3
         );
         if repeat > 1 && run == 0 {
@@ -398,15 +403,18 @@ fn query(args: &Args) -> CmdResult {
 
     let repeat: u32 = args.get_or("repeat", 1)?;
     for run in 0..repeat.max(1) {
+        // Wall time of the whole call, reassembly included; lookup + exec
+        // (`seconds()`) is printed beside it under that name.
+        let t0 = std::time::Instant::now();
         let (result, trace) = if args.has("explain") {
             let spans = tasm_obs::TraceSpans::shared();
-            let t0 = std::time::Instant::now();
             let result = tasm.query_traced(name, &q, &spans)?;
             let trace = spans.finish(tasm_obs::next_trace_id(), result.epoch, t0.elapsed());
             (result, Some(trace))
         } else {
             (tasm.query(name, &q)?, None)
         };
+        let wall = t0.elapsed();
         match mode {
             QueryMode::Exists => println!(
                 "exists '{label}' over frames {start}..{end}: {} ({} matches known from the index; no tiles decoded)",
@@ -418,11 +426,12 @@ fn query(args: &Args) -> CmdResult {
                 result.matched, result.plan.frames_sampled
             ),
             QueryMode::Pixels => println!(
-                "query '{label}' over frames {start}..{end}: {} regions on {} frames, {} samples decoded, {} cache hits, {:.2} ms",
+                "query '{label}' over frames {start}..{end}: {} regions on {} frames, {} samples decoded, {} cache hits, {:.2} ms ({:.2} ms lookup+exec)",
                 result.regions.len(),
                 result.plan.frames_sampled,
                 result.stats.samples_decoded,
                 result.cache.hits,
+                wall.as_secs_f64() * 1e3,
                 result.seconds() * 1e3
             ),
         }
@@ -904,7 +913,7 @@ fn client_query(args: &Args) -> CmdResult {
         outcome.epoch
     );
     println!(
-        "  latency: {:.2} ms end-to-end ({:.2} ms server-side decode)",
+        "  latency: {:.2} ms end-to-end ({:.2} ms server lookup+exec)",
         outcome.latency.as_secs_f64() * 1e3,
         (outcome.summary.lookup_micros + outcome.summary.exec_micros) as f64 / 1e3,
     );

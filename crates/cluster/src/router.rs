@@ -29,7 +29,7 @@ use crate::map::ShardMap;
 use crate::merge_stats;
 use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -37,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tasm_client::{ClientError, Connection};
 use tasm_core::Query;
-use tasm_proto::{ErrorCode, Message, ProtoError, VERSION};
+use tasm_proto::{ErrorCode, Message, VERSION};
 use tasm_service::ServiceStats;
 
 /// Routing, admission, and failover knobs.
@@ -51,7 +51,8 @@ pub struct RouterConfig {
     /// Router-wide in-flight query cap; excess queries receive a typed
     /// BUSY frame.
     pub max_inflight: usize,
-    /// Poll granularity of session reads and the accept loop.
+    /// Upper bound on one reactor wait, and the health thread's sleep
+    /// step — how fast an idle router notices shutdown.
     pub poll_interval: Duration,
     /// Bound on every socket operation against a shard — a hung shard
     /// surfaces as a timeout and triggers failover instead of pinning a
@@ -61,8 +62,7 @@ pub struct RouterConfig {
     pub health_interval: Duration,
     /// Consecutive failures before a node is marked down (promoted past).
     pub fail_threshold: u32,
-    /// Routing worker threads (reactor engine): each owns its own pool of
-    /// shard connections and executes routed queries so the session event
+    /// Routing worker threads: each owns its own pool of shard connections and executes routed queries so the session event
     /// loop never blocks on shard I/O.
     pub route_workers: usize,
 }
@@ -83,7 +83,7 @@ impl Default for RouterConfig {
 }
 
 /// Locks a mutex, recovering from poison: the router's guarded state
-/// (failure counts, shutdown flags, session handles) stays consistent
+/// (failure counts, shutdown flags, completion queues) stays consistent
 /// across a panicked holder, and one dead routing job must not cascade
 /// into a dead router.
 fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -144,7 +144,6 @@ struct RouterShared {
     shutdown: Arc<AtomicBool>,
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
-    active_sessions: AtomicUsize,
     inflight: AtomicUsize,
     routed: AtomicU64,
     retries: AtomicU64,
@@ -209,14 +208,13 @@ impl RouterShared {
 }
 
 /// A running shard router: a listener, its serving threads (one reactor +
-/// a routing worker pool, or accept + per-connection sessions where
-/// readiness polling is unavailable), and the health/map-reload thread.
+/// a routing worker pool), and the health/map-reload thread. Readiness
+/// polling exists on unix only; elsewhere [`Router::bind`] fails with
+/// `ErrorKind::Unsupported`.
 pub struct Router {
     shared: Arc<RouterShared>,
     local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
     health: Option<JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     jobs: Option<Arc<JobQueue>>,
@@ -240,7 +238,6 @@ impl Router {
             shutdown: Arc::clone(&shutdown),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
-            active_sessions: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             routed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -248,69 +245,52 @@ impl Router {
             busy_rejections: AtomicU64::new(0),
             sessions_served: AtomicU64::new(0),
         });
-        let sessions = Arc::new(Mutex::new(Vec::new()));
+        let loop_cfg = tasm_reactor::LoopConfig {
+            max_connections: shared.cfg.max_connections,
+            poll_interval: shared.cfg.poll_interval,
+            ..tasm_reactor::LoopConfig::default()
+        };
+        let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
+        let waker = ctl.waker();
+        let completions = Arc::new(Mutex::new(Vec::new()));
+        let jobs = Arc::new(JobQueue::new());
+        // Built before any thread starts, so a failed spawn below drops it
+        // and its `Drop` closes the job queue and joins what did start.
         let mut router = Router {
             shared: Arc::clone(&shared),
             local_addr,
-            accept: None,
             health: None,
-            sessions: Arc::clone(&sessions),
             reactor: None,
             workers: Vec::new(),
-            jobs: None,
-            waker: None,
+            jobs: Some(Arc::clone(&jobs)),
+            waker: Some(waker.clone()),
         };
-        if tasm_reactor::supported() {
-            let loop_cfg = tasm_reactor::LoopConfig {
-                max_connections: shared.cfg.max_connections,
-                poll_interval: shared.cfg.poll_interval,
-                ..tasm_reactor::LoopConfig::default()
-            };
-            let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
-            let waker = ctl.waker();
-            let completions = Arc::new(Mutex::new(Vec::new()));
-            let jobs = Arc::new(JobQueue::new());
-            for i in 0..shared.cfg.route_workers.max(1) {
-                let shared = Arc::clone(&shared);
-                let jobs = Arc::clone(&jobs);
-                let completions = Arc::clone(&completions);
-                let waker = waker.clone();
-                router.workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("tasm-route-worker-{i}"))
-                        .spawn(move || route_worker(&shared, &jobs, &completions, &waker))?,
-                );
-            }
-            let logic = RouterLogic {
-                shared: Arc::clone(&shared),
-                completions,
-                jobs: Arc::clone(&jobs),
-            };
-            router.reactor = Some(
-                std::thread::Builder::new()
-                    .name("tasm-route-reactor".to_string())
-                    .spawn(move || tasm_reactor::run(ctl, logic))?,
-            );
-            router.jobs = Some(jobs);
-            router.waker = Some(waker);
-        } else {
-            listener.set_nonblocking(true)?;
-            let accept = {
-                let shared = Arc::clone(&shared);
-                let sessions = Arc::clone(&sessions);
-                std::thread::Builder::new()
-                    .name("tasm-route-accept".to_string())
-                    .spawn(move || accept_loop(&shared, &listener, &sessions))?
-            };
-            router.accept = Some(accept);
-        }
-        let health = {
+        for i in 0..shared.cfg.route_workers.max(1) {
             let shared = Arc::clone(&shared);
+            let jobs = Arc::clone(&jobs);
+            let completions = Arc::clone(&completions);
+            let waker = waker.clone();
+            router.workers.push(
+                std::thread::Builder::new()
+                    .name(format!("tasm-route-worker-{i}"))
+                    .spawn(move || route_worker(&shared, &jobs, &completions, &waker))?,
+            );
+        }
+        let logic = RouterLogic {
+            shared: Arc::clone(&shared),
+            completions,
+            jobs,
+        };
+        router.reactor = Some(
+            std::thread::Builder::new()
+                .name("tasm-route-reactor".to_string())
+                .spawn(move || tasm_reactor::run(ctl, logic))?,
+        );
+        router.health = Some(
             std::thread::Builder::new()
                 .name("tasm-route-health".to_string())
-                .spawn(move || health_loop(&shared))?
-        };
-        router.health = Some(health);
+                .spawn(move || health_loop(&shared))?,
+        );
         Ok(router)
     }
 
@@ -337,8 +317,8 @@ impl Router {
     }
 
     /// The ordered cluster drain: stop admitting, drain the router's
-    /// in-flight queries (sessions are serial, so joining them is the
-    /// drain), then — when `drain_shards` — drain every shard in
+    /// in-flight queries (the reactor finishes every session's response
+    /// before it exits), then — when `drain_shards` — drain every shard in
     /// shard-map order, collecting each one's final statistics before
     /// asking it to shut down.
     pub fn shutdown(mut self, drain_shards: bool) -> ClusterShutdownReport {
@@ -372,12 +352,6 @@ impl Router {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(waker) = &self.waker {
             waker.wake();
-        }
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        for s in lock_clean(&self.sessions).drain(..) {
-            let _ = s.join();
         }
         if let Some(t) = self.reactor.take() {
             let _ = t.join();
@@ -439,63 +413,6 @@ fn resolve(addr: &str) -> Result<SocketAddr, String> {
         .ok_or_else(|| format!("address '{addr}' resolves to nothing"))
 }
 
-fn accept_loop(
-    shared: &Arc<RouterShared>,
-    listener: &TcpListener,
-    sessions: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
-        let (stream, _peer) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval.min(Duration::from_millis(5)));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        let active = shared.active_sessions.fetch_add(1, Ordering::AcqRel);
-        if active >= shared.cfg.max_connections {
-            shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-            // Best-effort courtesy frame; the stream drops either way.
-            let mut s = stream;
-            let _ = s.set_nonblocking(false);
-            let _ = s.set_write_timeout(Some(Duration::from_millis(200)));
-            let _ = Message::Error {
-                id: None,
-                code: ErrorCode::TooManyConnections,
-                message: "router is at its connection limit".to_string(),
-            }
-            .write_to(&mut s);
-            continue;
-        }
-        let session_shared = Arc::clone(shared);
-        let handle = match std::thread::Builder::new()
-            .name("tasm-route-session".to_string())
-            .spawn(move || {
-                session(&session_shared, stream);
-                session_shared
-                    .active_sessions
-                    .fetch_sub(1, Ordering::AcqRel);
-            }) {
-            Ok(handle) => handle,
-            Err(_) => {
-                shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        let mut sessions = sessions.lock().expect("sessions lock");
-        sessions.retain(|s: &JoinHandle<()>| !s.is_finished());
-        sessions.push(handle);
-    }
-}
-
 /// Probes shards and reloads the map. Probing only watches nodes not yet
 /// down: detection is proactive (a dead primary is noticed before the
 /// next query hits it), while recovery of a down node is deliberately an
@@ -550,167 +467,7 @@ fn health_loop(shared: &Arc<RouterShared>) {
     }
 }
 
-/// Poll timeouts a connection may sit silent before its handshake.
-const HANDSHAKE_DEADLINE_POLLS: u32 = 400;
-/// Wall-clock bound on receiving one request frame once it starts.
-const MAX_REQUEST_FRAME_TIME: Duration = Duration::from_secs(30);
-/// Socket write timeout for response frames.
-const MAX_RESPONSE_WRITE_STALL: Duration = Duration::from_secs(10);
-
-/// One client session: handshake, then serial request dispatch. The
-/// session owns its pool of shard connections, created lazily and dropped
-/// on transport failure.
-fn session(shared: &Arc<RouterShared>, mut stream: TcpStream) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    stream.set_nodelay(true).ok();
-    if stream
-        .set_read_timeout(Some(shared.cfg.poll_interval))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(MAX_RESPONSE_WRITE_STALL))
-            .is_err()
-    {
-        return;
-    }
-    if !handshake(shared, &mut stream) {
-        return;
-    }
-    shared.sessions_served.fetch_add(1, Ordering::Relaxed);
-
-    let mut shards: HashMap<String, Connection> = HashMap::new();
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
-        let msg = match Message::read_from_bounded(&mut stream, MAX_REQUEST_FRAME_TIME) {
-            Ok(msg) => msg,
-            Err(e) if e.is_timeout() => continue,
-            Err(ProtoError::Io(_)) | Err(ProtoError::Stalled) => return,
-            Err(_) => {
-                let _ = Message::Error {
-                    id: None,
-                    code: ErrorCode::Malformed,
-                    message: "undecodable frame".to_string(),
-                }
-                .write_to(&mut stream);
-                return;
-            }
-        };
-        match msg {
-            Message::Query {
-                id,
-                video,
-                query,
-                trace_id,
-            } => {
-                if !shared.admitting.load(Ordering::SeqCst) {
-                    let _ = Message::Error {
-                        id: Some(id),
-                        code: ErrorCode::ShuttingDown,
-                        message: "router is draining".to_string(),
-                    }
-                    .write_to(&mut stream);
-                    continue;
-                }
-                if shared.inflight.fetch_add(1, Ordering::AcqRel) >= shared.cfg.max_inflight {
-                    shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                    shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    let _ = Message::Error {
-                        id: Some(id),
-                        code: ErrorCode::Busy,
-                        message: "router in-flight cap reached".to_string(),
-                    }
-                    .write_to(&mut stream);
-                    continue;
-                }
-                let frames = route_query_frames(shared, &mut shards, id, &video, &query, trace_id);
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                for frame in frames {
-                    if std::io::Write::write_all(&mut stream, &frame).is_err() {
-                        return;
-                    }
-                }
-            }
-            Message::StatsRequest => {
-                let merged = cluster_stats(shared, &mut shards);
-                if (Message::StatsReply {
-                    stats: Box::new(merged),
-                })
-                .write_to(&mut stream)
-                .is_err()
-                {
-                    return;
-                }
-            }
-            Message::Goodbye => return,
-            Message::ShutdownServer => {
-                *lock_clean(&shared.shutdown_requested) = true;
-                shared.shutdown_cv.notify_all();
-                let _ = Message::Goodbye.write_to(&mut stream);
-                return;
-            }
-            _ => {
-                let _ = Message::Error {
-                    id: None,
-                    code: ErrorCode::Malformed,
-                    message: "unexpected frame".to_string(),
-                }
-                .write_to(&mut stream);
-                return;
-            }
-        }
-    }
-}
-
-fn handshake(shared: &Arc<RouterShared>, stream: &mut TcpStream) -> bool {
-    let mut silent_polls = 0u32;
-    let hello = loop {
-        match Message::read_from_bounded(stream, MAX_REQUEST_FRAME_TIME) {
-            Ok(msg) => break msg,
-            Err(e) if e.is_timeout() => {
-                if shared.is_shutting_down() {
-                    return false;
-                }
-                silent_polls += 1;
-                if silent_polls >= HANDSHAKE_DEADLINE_POLLS {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    };
-    match hello {
-        Message::ClientHello { version } if version == VERSION => Message::ServerHello {
-            version: VERSION,
-            // The router handles one query per session at a time.
-            max_inflight: 1,
-        }
-        .write_to(stream)
-        .is_ok(),
-        Message::ClientHello { version } => {
-            let _ = Message::Error {
-                id: None,
-                code: ErrorCode::VersionMismatch,
-                message: format!("router speaks version {VERSION}, client sent {version}"),
-            }
-            .write_to(stream);
-            false
-        }
-        _ => {
-            let _ = Message::Error {
-                id: None,
-                code: ErrorCode::Malformed,
-                message: "expected client hello".to_string(),
-            }
-            .write_to(stream);
-            false
-        }
-    }
-}
-
-/// Fetches (or creates) the session's connection to `node`.
+/// Fetches (or creates) the routing worker's connection to `node`.
 fn shard_conn<'a>(
     shared: &RouterShared,
     shards: &'a mut HashMap<String, Connection>,
@@ -732,8 +489,8 @@ fn shard_conn<'a>(
 /// shard's full response — or a typed error after the last replica — as
 /// encoded frames. The shard's execution trace (instance tag, per-phase
 /// breakdown) is relayed unchanged, so the client sees which shard served
-/// it. Shard failures are handled by failover inside; writing the frames
-/// to the client is the caller's (engine-specific) job.
+/// it. Shard failures are handled by failover inside; the frames stream to
+/// the client through the reactor.
 fn route_query_frames(
     shared: &RouterShared,
     shards: &mut HashMap<String, Connection>,
@@ -968,8 +725,7 @@ fn route_worker(
                 query,
                 trace_id,
             } => {
-                let frames =
-                    route_query_frames(shared, &mut shards, id, &video, &query, trace_id);
+                let frames = route_query_frames(shared, &mut shards, id, &video, &query, trace_id);
                 // The router-wide in-flight slot frees when the route
                 // finishes, session alive or not.
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -991,11 +747,10 @@ fn route_worker(
     }
 }
 
-/// The router's reactor [`Logic`](tasm_reactor::Logic): same protocol as
-/// the blocking sessions, with shard I/O handed to the worker pool. A
-/// session pauses while its job is in flight — the router serves one
-/// request per session at a time (it advertises `max_inflight: 1`), so
-/// pausing preserves exactly the blocking engine's ordering.
+/// The router's reactor [`Logic`](tasm_reactor::Logic), with shard I/O
+/// handed to the worker pool. A session pauses while its job is in flight:
+/// the router serves one request per session at a time (it advertises
+/// `max_inflight: 1`), so responses leave in request order.
 struct RouterLogic {
     shared: Arc<RouterShared>,
     completions: Arc<Mutex<Vec<RouteDone>>>,
@@ -1033,9 +788,7 @@ impl RouterLogic {
 }
 
 impl tasm_reactor::Logic for RouterLogic {
-    fn on_accept(&mut self, _ctl: &mut tasm_reactor::Ctl, _token: u64) {
-        self.shared.active_sessions.fetch_add(1, Ordering::AcqRel);
-    }
+    fn on_accept(&mut self, _ctl: &mut tasm_reactor::Ctl, _token: u64) {}
 
     fn on_refused(&mut self) {}
 
@@ -1179,7 +932,5 @@ impl tasm_reactor::Logic for RouterLogic {
         }
     }
 
-    fn on_close(&mut self, _token: u64, _handshaken: bool) {
-        self.shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-    }
+    fn on_close(&mut self, _token: u64, _handshaken: bool) {}
 }

@@ -4,15 +4,8 @@
 //! Identifier 0 is reserved for the internal *processed-frame* marker (the
 //! record TASM writes when a detector has run on a frame, so that "no boxes"
 //! can be distinguished from "never looked"). Real labels start at 1.
-//!
-//! Persistence is a sidecar tab-separated file (`id\tname` per line),
-//! append-only: label sets are tiny (object classes), so a human-readable
-//! format beats embedding strings in pages.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
 
 /// Reserved label id marking frames a detector has processed.
 pub const PROCESSED_LABEL: u32 = 0;
@@ -21,74 +14,32 @@ pub const PROCESSED_LABEL: u32 = 0;
 pub const FIRST_LABEL: u32 = 1;
 
 /// Bidirectional label-string ↔ id mapping.
+#[derive(Default)]
 pub struct LabelDict {
     /// `names[i]` is the label with id `i + FIRST_LABEL`.
     names: Vec<String>,
     ids: HashMap<String, u32>,
-    backing: Option<PathBuf>,
 }
 
 impl LabelDict {
-    /// An ephemeral in-memory dictionary.
-    pub fn in_memory() -> Self {
-        LabelDict {
-            names: Vec::new(),
-            ids: HashMap::new(),
-            backing: None,
-        }
-    }
-
-    /// Opens (or creates) a file-backed dictionary.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        let mut dict = LabelDict {
-            names: Vec::new(),
-            ids: HashMap::new(),
-            backing: Some(path.to_path_buf()),
-        };
-        if path.exists() {
-            let reader = BufReader::new(File::open(path)?);
-            for line in reader.lines() {
-                let line = line?;
-                if line.is_empty() {
-                    continue;
-                }
-                let (id_str, name) = line.split_once('\t').ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "malformed dictionary line")
-                })?;
-                let id: u32 = id_str.parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "malformed dictionary id")
-                })?;
-                let expected = dict.names.len() as u32 + FIRST_LABEL;
-                if id != expected {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "dictionary ids must be dense and ordered",
-                    ));
-                }
-                dict.ids.insert(name.to_string(), id);
-                dict.names.push(name.to_string());
-            }
-        }
-        Ok(dict)
+    /// An empty dictionary.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Returns the id for `name`, interning it if new.
-    pub fn intern(&mut self, name: &str) -> io::Result<u32> {
+    pub fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.ids.get(name) {
-            return Ok(id);
+            return id;
         }
         assert!(
             !name.contains(['\t', '\n']),
             "label names may not contain tabs or newlines"
         );
         let id = self.names.len() as u32 + FIRST_LABEL;
-        if let Some(path) = &self.backing {
-            let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-            writeln!(f, "{id}\t{name}")?;
-        }
         self.ids.insert(name.to_string(), id);
         self.names.push(name.to_string());
-        Ok(id)
+        id
     }
 
     /// Looks up an existing label id.
@@ -123,19 +74,19 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut d = LabelDict::in_memory();
-        let car = d.intern("car").unwrap();
-        let person = d.intern("person").unwrap();
+        let mut d = LabelDict::new();
+        let car = d.intern("car");
+        let person = d.intern("person");
         assert_eq!(car, FIRST_LABEL);
         assert_eq!(person, FIRST_LABEL + 1);
-        assert_eq!(d.intern("car").unwrap(), car);
+        assert_eq!(d.intern("car"), car);
         assert_eq!(d.len(), 2);
     }
 
     #[test]
     fn lookup_and_name() {
-        let mut d = LabelDict::in_memory();
-        let id = d.intern("bicycle").unwrap();
+        let mut d = LabelDict::new();
+        let id = d.intern("bicycle");
         assert_eq!(d.lookup("bicycle"), Some(id));
         assert_eq!(d.lookup("unknown"), None);
         assert_eq!(d.name(id), Some("bicycle"));
@@ -144,43 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn persistence_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("tasm-dict-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("labels.tsv");
-        std::fs::remove_file(&path).ok();
-        {
-            let mut d = LabelDict::open(&path).unwrap();
-            d.intern("car").unwrap();
-            d.intern("person").unwrap();
-        }
-        {
-            let mut d = LabelDict::open(&path).unwrap();
-            assert_eq!(d.len(), 2);
-            assert_eq!(d.lookup("car"), Some(FIRST_LABEL));
-            assert_eq!(d.lookup("person"), Some(FIRST_LABEL + 1));
-            // New labels continue after the persisted ones.
-            assert_eq!(d.intern("boat").unwrap(), FIRST_LABEL + 2);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_file_rejected() {
-        let dir = std::env::temp_dir().join(format!("tasm-dict-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("labels.tsv");
-        std::fs::write(&path, "5\tcar\n").unwrap(); // ids must start at 1
-        assert!(LabelDict::open(&path).is_err());
-        std::fs::write(&path, "not a dictionary\n").unwrap();
-        assert!(LabelDict::open(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     #[should_panic(expected = "tabs or newlines")]
     fn tab_in_label_rejected() {
-        let mut d = LabelDict::in_memory();
+        let mut d = LabelDict::new();
         let _ = d.intern("bad\tlabel");
     }
 }

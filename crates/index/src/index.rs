@@ -9,13 +9,39 @@
 //! *processed*: TASM's lazy strategies must distinguish "no objects found on
 //! this frame" from "this frame was never analyzed" (§4.3).
 
-use crate::btree::{BTree, TreeError, USER_META_LEN};
 use crate::dict::{LabelDict, FIRST_LABEL, PROCESSED_LABEL};
-use crate::key::{encode_value, RecordKey};
-use crate::pager::{FileStore, MemStore, PageStore};
+use crate::key::RecordKey;
+use std::collections::BTreeMap;
+use std::io;
 use std::ops::Range;
-use std::path::Path;
 use tasm_video::Rect;
+
+/// Errors from an index backend.
+#[derive(Debug)]
+pub enum TreeError {
+    /// Backend I/O failure.
+    Io(io::Error),
+    /// Stored index data is structurally invalid (bad magic, checksum
+    /// mismatch, truncated region).
+    Corrupt(&'static str),
+}
+
+impl From<io::Error> for TreeError {
+    fn from(e: io::Error) -> Self {
+        TreeError::Io(e)
+    }
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeError::Io(e) => write!(f, "index I/O error: {e}"),
+            TreeError::Corrupt(what) => write!(f, "index corrupt: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
 
 /// Result alias for index operations.
 pub type IndexResult<T> = Result<T, TreeError>;
@@ -69,81 +95,36 @@ pub trait SemanticIndex {
     fn flush(&mut self) -> IndexResult<()>;
 }
 
-/// B+tree-backed semantic index, generic over the page backend.
-pub struct Index<S: PageStore> {
-    tree: BTree<S>,
+/// An ephemeral index: one ordered map clustered on
+/// `(video, label, frame, seq)` — the same shape as [`TieredIndex`]'s
+/// memtable, without the WAL and runs. The reference the tier is checked
+/// against, and the index of tests, examples, and benches.
+///
+/// [`TieredIndex`]: crate::TieredIndex
+#[derive(Default)]
+pub struct MemoryIndex {
+    records: BTreeMap<RecordKey, Rect>,
     dict: LabelDict,
-    /// Monotonic uniquifier for keys; persisted in the tree's user metadata.
+    /// Monotonic uniquifier for keys (truncated to `u32` in the key).
     seq: u64,
-    /// Detections stored (excludes processed markers); persisted likewise.
+    /// Detections stored (excludes processed markers).
     detections: u64,
 }
-
-/// An ephemeral index for tests and benchmarks.
-pub type MemoryIndex = Index<MemStore>;
-
-/// A disk-backed index (page file + label dictionary side file).
-pub type PersistentIndex = Index<FileStore>;
 
 impl MemoryIndex {
     /// Creates an empty in-memory index.
     pub fn in_memory() -> Self {
-        Index::from_parts(
-            BTree::open(MemStore::default(), 256).expect("in-memory open cannot fail"),
-            LabelDict::in_memory(),
-        )
+        Self::default()
     }
 }
 
-impl Default for MemoryIndex {
-    fn default() -> Self {
-        Self::in_memory()
-    }
-}
-
-impl PersistentIndex {
-    /// Opens (or creates) a persistent index inside `dir`.
-    pub fn open(dir: &Path) -> IndexResult<Self> {
-        std::fs::create_dir_all(dir).map_err(TreeError::Io)?;
-        let store = FileStore::open(&dir.join("index.pages")).map_err(TreeError::Io)?;
-        let tree = BTree::open(store, 1024)?;
-        let dict = LabelDict::open(&dir.join("labels.tsv")).map_err(TreeError::Io)?;
-        Ok(Index::from_parts(tree, dict))
-    }
-}
-
-impl<S: PageStore> Index<S> {
-    fn from_parts(tree: BTree<S>, dict: LabelDict) -> Self {
-        let user = tree.user_meta();
-        let seq = u64::from_le_bytes(user[0..8].try_into().unwrap());
-        let detections = u64::from_le_bytes(user[8..16].try_into().unwrap());
-        Index {
-            tree,
-            dict,
-            seq,
-            detections,
-        }
-    }
-
-    fn next_seq(&mut self) -> u32 {
-        self.seq += 1;
-        (self.seq & 0xFFFF_FFFF) as u32
-    }
-
-    /// The underlying tree length, markers included (diagnostics).
-    pub fn record_count(&self) -> u64 {
-        self.tree.len()
-    }
-}
-
-impl<S: PageStore> SemanticIndex for Index<S> {
+impl SemanticIndex for MemoryIndex {
     fn add_metadata(&mut self, video: u32, label: &str, frame: u32, bbox: Rect) -> IndexResult<()> {
-        let label_id = self.dict.intern(label).map_err(TreeError::Io)?;
-        let seq = self.next_seq();
-        self.tree.insert(
-            RecordKey::new(video, label_id, frame, seq),
-            encode_value(&bbox),
-        )?;
+        let label_id = self.dict.intern(label);
+        self.seq += 1;
+        let seq = (self.seq & 0xFFFF_FFFF) as u32;
+        self.records
+            .insert(RecordKey::new(video, label_id, frame, seq), bbox);
         self.detections += 1;
         Ok(())
     }
@@ -163,10 +144,9 @@ impl<S: PageStore> SemanticIndex for Index<S> {
         let lo = RecordKey::range_start(video, label_id, frames.start);
         let hi = RecordKey::range_start(video, label_id, frames.end);
         Ok(self
-            .tree
-            .range(&lo, &hi)?
-            .into_iter()
-            .map(|(k, bbox)| Detection {
+            .records
+            .range(lo..hi)
+            .map(|(k, &bbox)| Detection {
                 frame: k.frame,
                 bbox,
             })
@@ -176,10 +156,9 @@ impl<S: PageStore> SemanticIndex for Index<S> {
     fn query_all(&mut self, video: u32, frames: Range<u32>) -> IndexResult<Vec<LabeledDetection>> {
         let mut out = Vec::new();
         for label in self.labels(video)? {
-            let label_owned = label.clone();
             for d in self.query(video, &label, frames.clone())? {
                 out.push(LabeledDetection {
-                    label: label_owned.clone(),
+                    label: label.clone(),
                     frame: d.frame,
                     bbox: d.bbox,
                 });
@@ -192,7 +171,7 @@ impl<S: PageStore> SemanticIndex for Index<S> {
         // Skip-scan: jump from label to label instead of reading every record.
         let mut out = Vec::new();
         let mut probe = RecordKey::new(video, FIRST_LABEL, 0, 0);
-        while let Some((k, _)) = self.tree.seek(&probe)? {
+        while let Some((k, _)) = self.records.range(probe..).next() {
             if k.video != video {
                 break;
             }
@@ -209,10 +188,10 @@ impl<S: PageStore> SemanticIndex for Index<S> {
 
     fn mark_processed(&mut self, video: u32, frame: u32) -> IndexResult<()> {
         // Idempotent: seq 0, so re-marking overwrites the same record.
-        self.tree.insert(
+        self.records.insert(
             RecordKey::new(video, PROCESSED_LABEL, frame, 0),
-            encode_value(&Rect::new(0, 0, 0, 0)),
-        )?;
+            Rect::new(0, 0, 0, 0),
+        );
         Ok(())
     }
 
@@ -222,12 +201,7 @@ impl<S: PageStore> SemanticIndex for Index<S> {
         }
         let lo = RecordKey::range_start(video, PROCESSED_LABEL, frames.start);
         let hi = RecordKey::range_start(video, PROCESSED_LABEL, frames.end);
-        let mut count = 0u32;
-        self.tree.range_for_each(&lo, &hi, |_, _| {
-            count += 1;
-            true
-        })?;
-        Ok(count)
+        Ok(self.records.range(lo..hi).count() as u32)
     }
 
     fn detection_count(&self) -> u64 {
@@ -235,11 +209,7 @@ impl<S: PageStore> SemanticIndex for Index<S> {
     }
 
     fn flush(&mut self) -> IndexResult<()> {
-        let mut user = [0u8; USER_META_LEN];
-        user[0..8].copy_from_slice(&self.seq.to_le_bytes());
-        user[8..16].copy_from_slice(&self.detections.to_le_bytes());
-        self.tree.set_user_meta(user);
-        self.tree.flush()
+        Ok(())
     }
 }
 
@@ -337,10 +307,11 @@ mod tests {
 
     #[test]
     fn persistent_index_survives_reopen() {
+        use crate::TieredIndex;
         let dir = std::env::temp_dir().join(format!("tasm-idx-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         {
-            let mut idx = PersistentIndex::open(&dir).unwrap();
+            let mut idx = TieredIndex::open(&dir).unwrap();
             for f in 0..500u32 {
                 idx.add_metadata(3, "car", f, bbox(f)).unwrap();
                 if f % 2 == 0 {
@@ -351,7 +322,7 @@ mod tests {
             idx.flush().unwrap();
         }
         {
-            let mut idx = PersistentIndex::open(&dir).unwrap();
+            let mut idx = TieredIndex::open(&dir).unwrap();
             assert_eq!(idx.detection_count(), 501);
             assert_eq!(idx.query(3, "car", 100..110).unwrap().len(), 10);
             let mut labels = idx.labels(3).unwrap();

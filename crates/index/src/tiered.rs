@@ -1,7 +1,7 @@
 //! The disk-resident tier of the semantic index: an LSM/SSTable design.
 //!
 //! At production scale the semantic index is billions of labeled boxes — far
-//! too large for the resident B-tree page cache, and dominated by *append*
+//! too large to keep resident in one ordered map, and dominated by *append*
 //! traffic (detectors emit boxes in frame order). [`TieredIndex`] stores the
 //! index the way log-structured storage engines do:
 //!
@@ -26,9 +26,8 @@
 //!
 //! [`flush`]: SemanticIndex::flush
 
-use crate::btree::TreeError;
 use crate::dict::{FIRST_LABEL, PROCESSED_LABEL};
-use crate::index::{Detection, IndexResult, LabeledDetection, SemanticIndex};
+use crate::index::{Detection, IndexResult, LabeledDetection, SemanticIndex, TreeError};
 use crate::key::{decode_value, encode_value, RecordKey, KEY_LEN, VALUE_LEN};
 use std::collections::BTreeMap;
 use std::io;
@@ -1086,8 +1085,8 @@ impl TieredIndex {
     }
 
     /// Merges every source (runs oldest-first, memtable last) for keys in
-    /// `[lo, hi)`. Exact-key duplicates collapse newest-wins, matching the
-    /// B-tree's insert-overwrites semantics.
+    /// `[lo, hi)`. Exact-key duplicates collapse newest-wins, matching
+    /// [`MemoryIndex`](crate::MemoryIndex)'s insert-overwrites semantics.
     fn merged_range(
         &mut self,
         lo: RecordKey,

@@ -77,6 +77,4 @@ pub use message::{
     MAGIC, VERSION,
 };
 pub use tasm_obs::QueryTrace;
-pub use wire::{
-    frame, read_frame, read_frame_deadline, write_frame, ProtoError, Reader, Writer, MAX_FRAME_LEN,
-};
+pub use wire::{frame, read_frame, write_frame, ProtoError, Reader, Writer, MAX_FRAME_LEN};

@@ -1,8 +1,9 @@
 //! Nonblocking framing: incremental frame assembly and resumable frame
 //! writes for readiness-driven (reactor) transports.
 //!
-//! The blocking helpers in [`wire`](crate::wire) own the socket for the
-//! duration of a frame; a reactor cannot afford that — a peer that
+//! The blocking helpers ([`read_frame`](crate::read_frame),
+//! [`write_frame`](crate::write_frame)) own the socket for the duration of
+//! a frame; a reactor cannot afford that — a peer that
 //! delivers half a length prefix must cost nothing but buffered bytes.
 //! [`FrameReader`] accumulates one frame across any number of partial
 //! reads and hands back complete payloads; [`FrameQueue`] holds encoded

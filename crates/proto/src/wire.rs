@@ -43,8 +43,8 @@ pub enum ProtoError {
     /// disagree about the message layout.
     TrailingBytes(usize),
     /// The peer stopped sending mid-frame (too many consecutive
-    /// zero-progress poll timeouts, or past the [`read_frame_deadline`]
-    /// wall clock). Unlike a between-frames timeout this is not
+    /// zero-progress read timeouts, or a nonblocking reader's frame
+    /// deadline passed). Unlike a between-frames timeout this is not
     /// retryable: the stream position is inside a torn frame.
     Stalled,
 }
@@ -75,20 +75,6 @@ impl std::error::Error for ProtoError {}
 impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> Self {
         ProtoError::Io(e)
-    }
-}
-
-impl ProtoError {
-    /// True for the read-timeout shape of [`ProtoError::Io`]: no frame had
-    /// started arriving when the socket's read timeout fired. The caller
-    /// may safely retry the read (used by server sessions to poll their
-    /// shutdown flag between frames).
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            ProtoError::Io(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut
-        )
     }
 }
 
@@ -224,8 +210,7 @@ impl<'a> Reader<'a> {
 /// Consecutive zero-progress timeout reads tolerated once a frame has
 /// started arriving. A live peer delivers the rest of a frame promptly;
 /// this bounds how long a crashed or partitioned peer mid-frame can pin a
-/// session thread (and therefore a graceful server shutdown): with the
-/// server's default 25 ms poll interval, 200 stalled polls ≈ 5 s.
+/// blocking reader: 200 stalled reads at the socket's read timeout.
 const MAX_STALLED_READS: u32 = 200;
 
 /// Assembles one frame: length prefix plus `payload`. The single place
@@ -249,57 +234,31 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 ///
 /// Timeout semantics (for sockets with a read timeout set): if the timeout
 /// fires before *any* byte of the frame arrived, the timeout `Io` error is
-/// returned and the stream is positioned to retry cleanly — sessions use
-/// this to poll their shutdown flag between frames. Once a frame has
+/// returned and the stream is positioned to retry cleanly. Once a frame has
 /// started arriving, short reads are retried until the frame completes, so
-/// a timeout can never tear a frame in half.
+/// a timeout can never tear a frame in half; a peer that stops sending
+/// mid-frame surfaces as [`ProtoError::Stalled`].
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    read_frame_deadline(r, None)
-}
-
-/// [`read_frame`] with a wall-clock bound on the whole frame once its
-/// first byte has arrived: a peer trickling bytes (one per poll, fast
-/// enough to defeat the zero-progress stall counter) surfaces as
-/// [`ProtoError::Stalled`] when the deadline expires. Servers use this so
-/// no connection can pin a session slot — or a graceful shutdown — beyond
-/// the bound; clients on slow links should prefer the unbounded
-/// [`read_frame`].
-pub fn read_frame_deadline(
-    r: &mut impl Read,
-    max_frame_time: Option<std::time::Duration>,
-) -> Result<Vec<u8>, ProtoError> {
-    let deadline = max_frame_time.map(|d| std::time::Instant::now() + d);
     let mut len_buf = [0u8; 4];
-    read_exact_retrying(r, &mut len_buf, false, deadline)?;
+    read_exact_retrying(r, &mut len_buf, false)?;
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::Oversized(len));
     }
     let mut payload = vec![0u8; len as usize];
-    read_exact_retrying(r, &mut payload, true, deadline)?;
+    read_exact_retrying(r, &mut payload, true)?;
     Ok(payload)
 }
 
 /// `read_exact` that retries timeout errors once committed to a frame
-/// (`started`, or after the first byte lands), so poll-style read timeouts
-/// only ever surface on frame boundaries. Mid-frame retries are bounded
-/// two ways: [`MAX_STALLED_READS`] zero-progress polls (a peer that dies
-/// mid-frame) and the optional wall-clock `deadline` (a peer that keeps
-/// trickling single bytes); either surfaces as [`ProtoError::Stalled`].
-fn read_exact_retrying(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    started: bool,
-    deadline: Option<std::time::Instant>,
-) -> Result<(), ProtoError> {
+/// (`started`, or after the first byte lands), so read timeouts only ever
+/// surface on frame boundaries. Mid-frame retries are bounded by
+/// [`MAX_STALLED_READS`] zero-progress reads (a peer that dies mid-frame),
+/// which surfaces as [`ProtoError::Stalled`].
+fn read_exact_retrying(r: &mut impl Read, buf: &mut [u8], started: bool) -> Result<(), ProtoError> {
     let mut filled = 0usize;
     let mut stalled = 0u32;
     while filled < buf.len() {
-        if let Some(deadline) = deadline {
-            if (started || filled > 0) && std::time::Instant::now() >= deadline {
-                return Err(ProtoError::Stalled);
-            }
-        }
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(ProtoError::Io(io::Error::new(

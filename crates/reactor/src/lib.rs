@@ -37,7 +37,8 @@
 
 mod poller;
 
-pub use poller::{wake_pipe, Event, Interest, Poller, WakeReader, Waker};
+pub use poller::Waker;
+use poller::{wake_pipe, Event, Interest, Poller, WakeReader};
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -56,14 +57,6 @@ const LOW_WATER: usize = 64 * 1024;
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Reserved token for the wake pipe.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
-
-/// Whether this platform can run the reactor: readiness polling and the
-/// wake pipe both construct. Callers check this *before* handing their
-/// listener to [`Ctl::new`], so engine selection can fall back to a
-/// blocking design without consuming the socket.
-pub fn supported() -> bool {
-    Poller::new().is_ok() && wake_pipe().is_ok()
-}
 
 /// What a [`ResponseSource`] produced.
 pub enum NextFrame {
@@ -227,8 +220,8 @@ pub struct Ctl {
 
 impl Ctl {
     /// Builds the loop state: nonblocking listener + wake pipe, both
-    /// registered with a fresh poller. Fails where readiness polling is
-    /// unsupported — callers fall back to a blocking engine.
+    /// registered with a fresh poller. Fails with `ErrorKind::Unsupported`
+    /// where readiness polling is unavailable (non-unix targets).
     pub fn new(
         listener: TcpListener,
         cfg: LoopConfig,

@@ -1,6 +1,6 @@
 //! OS readiness notification behind one small API: `epoll` on Linux,
 //! POSIX `poll(2)` elsewhere on unix, and an always-failing stub on other
-//! platforms (callers fall back to their blocking engine there).
+//! platforms, which keeps the workspace compiling there.
 //!
 //! No `libc` crate is available in this workspace, so the two or three
 //! syscalls each backend needs are declared directly via `extern "C"` —
@@ -272,9 +272,9 @@ mod sys {
     use std::io;
     use std::time::Duration;
 
-    /// Stub: readiness polling is unix-only here. `new` fails, which makes
-    /// the serving layer fall back to its blocking thread-per-connection
-    /// engine on other platforms.
+    /// Stub: readiness polling is unix-only here. `new` fails with
+    /// `Unsupported`, so servers and routers refuse to start on other
+    /// platforms instead of misbehaving.
     pub struct Poller;
 
     impl Poller {

@@ -1,25 +1,24 @@
-//! Panic isolation in the serving layer, on both engines.
+//! Panic isolation in the reactor serving layer.
 //!
 //! The contract under test: a panic inside query execution (injected via
 //! `ServiceConfig::test_panic_injector`) is a *per-query* failure — the
 //! submitting session receives a typed `Internal` error frame and keeps
 //! serving subsequent queries bit-exactly, other sessions are untouched,
-//! no in-flight slot leaks (shutdown drains cleanly instead of hanging on
+//! no in-flight slot leaks (the session's single slot is free again for
+//! the very next query, and shutdown drains cleanly instead of hanging on
 //! a stranded counter), and no lock poisoned by the unwinding worker
 //! cascades into later queries. Regression tests for two historical bugs:
-//! the inflight counter leaking when a waiter thread panicked, and
+//! the inflight counter leaking when a query panicked, and
 //! `.expect("writer lock")`-style poison propagation taking a whole
 //! session down after one panicked query.
 
 use std::sync::Arc;
 use tasm_client::{ClientError, Connection};
-use tasm_core::{
-    LabelPredicate, PartitionConfig, Query, StorageConfig, Tasm, TasmConfig,
-};
+use tasm_core::{LabelPredicate, PartitionConfig, Query, StorageConfig, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_proto::ErrorCode;
-use tasm_server::{ServeEngine, ServerConfig, TasmServer};
+use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, ServiceConfig};
 use tasm_suite::assert_regions_identical;
 use tasm_video::FrameSource;
@@ -74,21 +73,18 @@ fn ingest(tasm: &Tasm, video: &SyntheticVideo) {
     }
 }
 
-/// The shared scenario: interleave panicking and healthy queries on one
-/// session, check the panic surfaces as a typed `Internal` rejection and
-/// everything after it still matches the in-process reference, then check
-/// shutdown accounting (no stranded in-flight slot, workers alive).
-fn panicked_query_is_isolated(engine: ServeEngine) {
+/// Interleaves panicking and healthy queries on one session, checks the
+/// panic surfaces as a typed `Internal` rejection and everything after it
+/// still matches the in-process reference, then checks shutdown accounting
+/// (no stranded in-flight slot, workers alive). The session may hold one
+/// query in flight, so a slot stranded by a panicked query fails the next
+/// healthy query with `TooManyInflight` instead of going unnoticed.
+#[test]
+fn panicked_query_is_isolated_reactor() {
     let video = scene();
-    let server_tasm = tasm(match engine {
-        ServeEngine::Reactor => "iso-server-r",
-        ServeEngine::Threads => "iso-server-t",
-    });
+    let server_tasm = tasm("iso-server");
     ingest(&server_tasm, &video);
-    let twin = tasm(match engine {
-        ServeEngine::Reactor => "iso-twin-r",
-        ServeEngine::Threads => "iso-twin-t",
-    });
+    let twin = tasm("iso-twin");
     ingest(&twin, &video);
 
     let server = TasmServer::bind(
@@ -100,7 +96,7 @@ fn panicked_query_is_isolated(engine: ServeEngine) {
             ..Default::default()
         },
         ServerConfig {
-            engine,
+            max_inflight: 1,
             ..Default::default()
         },
         "127.0.0.1:0",
@@ -108,47 +104,58 @@ fn panicked_query_is_isolated(engine: ServeEngine) {
     .expect("bind ephemeral port");
     let addr = server.local_addr();
 
-    let mut conn = Connection::connect(addr).expect("connect");
-    let healthy = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
-    let poisoned = Query::new(LabelPredicate::label(POISON_LABEL)).frames(0..FRAMES);
+    let sessions = || {
+        let mut conn = Connection::connect(addr).expect("connect");
+        let healthy = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
+        let poisoned = Query::new(LabelPredicate::label(POISON_LABEL)).frames(0..FRAMES);
 
-    // Healthy → panic → healthy, three times over: each panicked query is
-    // rejected with a typed error and the *same session* keeps serving
-    // bit-exact results afterwards.
-    for round in 0..3 {
-        let what = format!("round {round} before panic");
-        let before = conn.query("v", &healthy).expect("healthy query");
-        let reference = twin.query("v", &healthy).expect("twin query");
-        assert_eq!(before.matched, reference.matched, "{what}: matched");
-        let expected: Vec<_> = reference.regions.iter().collect();
-        assert_regions_identical(&expected, &before.regions, &what);
+        // Healthy → panic → healthy, three times over: each panicked query is
+        // rejected with a typed error and the *same session* keeps serving
+        // bit-exact results afterwards.
+        for round in 0..3 {
+            let what = format!("round {round} before panic");
+            let before = conn.query("v", &healthy).expect("healthy query");
+            let reference = twin.query("v", &healthy).expect("twin query");
+            assert_eq!(before.matched, reference.matched, "{what}: matched");
+            let expected: Vec<_> = reference.regions.iter().collect();
+            assert_regions_identical(&expected, &before.regions, &what);
 
-        match conn.query("v", &poisoned) {
-            Err(ClientError::Rejected { code, .. }) => {
-                assert_eq!(
-                    code,
-                    ErrorCode::Internal,
-                    "round {round}: a panicked query fails with a typed Internal error"
-                );
+            match conn.query("v", &poisoned) {
+                Err(ClientError::Rejected { code, .. }) => {
+                    assert_eq!(
+                        code,
+                        ErrorCode::Internal,
+                        "round {round}: a panicked query fails with a typed Internal error"
+                    );
+                }
+                other => panic!("round {round}: expected typed rejection, got {other:?}"),
             }
-            other => panic!("round {round}: expected typed rejection, got {other:?}"),
+
+            let what = format!("round {round} after panic");
+            let after = conn
+                .query("v", &healthy)
+                .expect("session must survive the panic");
+            assert_eq!(after.matched, reference.matched, "{what}: matched");
+            let expected: Vec<_> = reference.regions.iter().collect();
+            assert_regions_identical(&expected, &after.regions, &what);
         }
 
-        let what = format!("round {round} after panic");
-        let after = conn.query("v", &healthy).expect("session must survive the panic");
-        assert_eq!(after.matched, reference.matched, "{what}: matched");
-        let expected: Vec<_> = reference.regions.iter().collect();
-        assert_regions_identical(&expected, &after.regions, &what);
+        // A *second* session opened after the panics is also unaffected —
+        // nothing process-wide (a poisoned lock, a dead worker) leaked out.
+        let mut conn2 = Connection::connect(addr).expect("second connect");
+        let fresh = conn2.query("v", &healthy).expect("fresh session query");
+        let reference = twin.query("v", &healthy).expect("twin query");
+        assert_eq!(fresh.matched, reference.matched);
+        conn2.goodbye().expect("goodbye");
+        conn.goodbye().expect("goodbye");
+    };
+    // A stranded slot fails a query above, and dropping the server would
+    // then wait forever for that slot to drain: leak the server so the
+    // failure is reported instead of hanging the suite.
+    if let Err(failure) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(sessions)) {
+        std::mem::forget(server);
+        std::panic::resume_unwind(failure);
     }
-
-    // A *second* session opened after the panics is also unaffected —
-    // nothing process-wide (a poisoned lock, a dead worker) leaked out.
-    let mut conn2 = Connection::connect(addr).expect("second connect");
-    let fresh = conn2.query("v", &healthy).expect("fresh session query");
-    let reference = twin.query("v", &healthy).expect("twin query");
-    assert_eq!(fresh.matched, reference.matched);
-    conn2.goodbye().expect("goodbye");
-    conn.goodbye().expect("goodbye");
 
     // Shutdown must drain promptly: a leaked inflight slot (the historical
     // bug) would strand the drain wait. Run it on a watchdog thread so a
@@ -169,16 +176,6 @@ fn panicked_query_is_isolated(engine: ServeEngine) {
     assert_eq!(report.service.abandoned, 0, "no query abandoned at drain");
 }
 
-#[test]
-fn panicked_query_is_isolated_reactor() {
-    panicked_query_is_isolated(ServeEngine::Reactor);
-}
-
-#[test]
-fn panicked_query_is_isolated_threads() {
-    panicked_query_is_isolated(ServeEngine::Threads);
-}
-
 /// Counts this process's threads via `/proc/self/status` (Linux only —
 /// elsewhere the check is skipped and the test asserts only connectivity).
 fn thread_count() -> Option<usize> {
@@ -192,8 +189,8 @@ fn thread_count() -> Option<usize> {
 /// The reactor's headline scaling property: session count does not show up
 /// in the thread count. With dozens of idle-but-connected sessions the
 /// process grows O(workers) threads, not O(connections) — the regression
-/// this guards against is the thread-per-connection engine sneaking back
-/// in as the default.
+/// this guards against is a thread-per-connection design sneaking back
+/// in.
 #[test]
 fn reactor_threads_scale_with_workers_not_connections() {
     let video = scene();
@@ -208,7 +205,6 @@ fn reactor_threads_scale_with_workers_not_connections() {
             ..Default::default()
         },
         ServerConfig {
-            engine: ServeEngine::Reactor,
             max_connections: 256,
             ..Default::default()
         },
